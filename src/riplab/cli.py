@@ -1,8 +1,9 @@
 """Command line harness: plan, build, verify, sparsify, recover, bench, bounds.
 
 Every command is deterministic for a fixed seed and writes plain text/CSV,
-so reruns are byte-identical.  Exit codes: 0 ok, 2 input error, 3 cap or
-resource exceeded, 4 certification failed.
+so reruns are byte-identical.  Exit codes: 0 ok, 2 input error (including
+unreadable or malformed files), 3 cap or resource exceeded, 4 certification
+failed.
 """
 
 from __future__ import annotations
@@ -50,7 +51,12 @@ def _apply_config(args) -> None:
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"config file {args.config}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"config file {args.config}: expected a JSON object")
     for key, value in data.items():
         key = key.replace("-", "_")
         if hasattr(args, key) and getattr(args, key) is None:
@@ -375,7 +381,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         code = args.fn(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapError as exc:

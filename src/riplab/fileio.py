@@ -21,6 +21,15 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _parse(path, kind, tokens) -> list:
+    """Tokens converted by ``kind`` (int or float); a bad token is an
+    InputError that names the file."""
+    try:
+        return [kind(tok) for tok in tokens]
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 # -- graphs --------------------------------------------------------------------
 
 def graph_text(graph: BipartiteGraph) -> str:
@@ -39,13 +48,13 @@ def read_graph(path) -> BipartiteGraph:
         head = fh.readline().split()
         if len(head) != 3:
             raise InputError(f"graph file {path}: header must be 'n m d'")
-        n, m, d = (int(x) for x in head)
+        n, m, d = _parse(path, int, head)
         adj = []
         for _ in range(n):
             row = fh.readline().split()
             if len(row) != d:
                 raise InputError(f"graph file {path}: expected {d} neighbors per line")
-            adj.append(tuple(int(v) for v in row))
+            adj.append(tuple(_parse(path, int, row)))
     return BipartiteGraph(n=n, m=m, d=d, adj=tuple(adj))
 
 
@@ -68,13 +77,13 @@ def read_matrix(path) -> MeasurementMatrix:
         head = fh.readline().split()
         if len(head) != 2:
             raise InputError(f"matrix file {path}: header must be 'm n'")
-        m, n = (int(x) for x in head)
+        m, n = _parse(path, int, head)
         rows = []
         for _ in range(m):
             row = fh.readline().split()
             if len(row) != n:
                 raise InputError(f"matrix file {path}: expected {n} entries per row")
-            rows.append([float(v) for v in row])
+            rows.append(_parse(path, float, row))
     return MeasurementMatrix(np.asarray(rows, dtype=float).reshape(m, n), provenance="loaded")
 
 
@@ -97,8 +106,11 @@ def read_vector(path) -> np.ndarray:
             line = line.strip()
             if not line:
                 continue
-            values.extend(float(tok) for tok in line.replace(",", " ").split())
-    return np.asarray(values, dtype=float)
+            values.extend(_parse(path, float, line.replace(",", " ").split()))
+    out = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise InputError(f"vector file {path}: entries must be finite")
+    return out
 
 
 # -- certificates -----------------------------------------------------------------

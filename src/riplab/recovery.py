@@ -1,10 +1,18 @@
 """Exhaustive model-based l1 recovery and the doubled-support RIP oracle it
 needs for its approximation guarantee.
 
-The decoder scans every member support, solves one l1 regression per member,
-and keeps the first strict improvement; ties keep the earlier candidate, so
-the output is deterministic for a fixed enumeration order.  Running time is
-exponential in the family size by design; sizes are capped.
+The decoder solves one l1 regression per member support, but not for every
+member.  Each row that a member's columns leave untouched adds the fixed
+``|y_i|`` to that member's residual, so the sum of those ``|y_i|`` is a free
+lower bound on it.  Members are visited best-first, by increasing
+(bound, enumeration index), and the scan stops at the first member whose
+bound exceeds the incumbent residual by more than float rounding can explain:
+no member skipped that way could have won.  The winner is the smallest
+(residual, enumeration index), the zero vector counting as index -1, which is
+the same member as "the first strict improvement in enumeration order wins",
+so the output is deterministic for a fixed enumeration order.  Running time
+is still exponential in the family size in the worst case (every bound is 0
+on a dense matrix); sizes are capped.
 """
 
 from __future__ import annotations
@@ -33,6 +41,17 @@ class RecoveryResult:
     opt_error: float | None = None
     ratio: float | None = None  # math.inf when opt_error ~ 0 but error is not
     exact: bool = False
+    members_tried: int = 0  # l1 regressions solved
+    members_pruned: int = 0  # members ruled out by their lower bound alone
+
+
+def _measurements(y, m: int) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (m,):
+        raise InputError(f"y has shape {y.shape}, expected ({m},)")
+    if not np.all(np.isfinite(y)):
+        raise InputError("measurements y must be finite")
+    return y
 
 
 def l1_regress(mat, y, support) -> np.ndarray:
@@ -42,10 +61,8 @@ def l1_regress(mat, y, support) -> np.ndarray:
     a deterministic basic solution.
     """
     arr = as_array(mat)
-    m, n = arr.shape
-    y = np.asarray(y, dtype=float)
-    if y.shape != (m,):
-        raise InputError(f"y has shape {y.shape}, expected ({m},)")
+    y = _measurements(y, arr.shape[0])
+    n = arr.shape[1]
     sup = models.normalize_support(n, support)
     x = np.zeros(n)
     if not sup:
@@ -58,28 +75,46 @@ def l1_regress(mat, y, support) -> np.ndarray:
 
 def recover(mat, y, model: models.Model, cap: int = DEFAULT_MEMBER_CAP,
             x_true=None, rel_tol: float = EXACT_REL_TOL) -> RecoveryResult:
-    """Scan all members, keep the candidate with the smallest residual.
+    """The member support whose l1 regression leaves the smallest residual.
 
-    The incumbent starts at the zero vector (empty support); only a strictly
-    smaller residual replaces it.  When ``x_true`` is supplied the result is
-    scored against the model projection of the truth.
+    A member's lower bound is the sum of ``|y_i|`` over the rows where all of
+    its columns are zero.  Members are visited by increasing (bound,
+    enumeration index); the scan stops at the first bound above the incumbent
+    residual times ``1 + 4 m 2^-53``.  The incumbent starts at the zero vector
+    (empty support, index -1) and the winner is the smallest (residual,
+    enumeration index): the first strict improvement in enumeration order.
+    When ``x_true`` is supplied the result is scored against the model
+    projection of the truth.
     """
     arr = as_array(mat)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (arr.shape[0],):
-        raise InputError(f"y has shape {y.shape}, expected ({arr.shape[0]},)")
+    m = arr.shape[0]
+    y = _measurements(y, m)
     size = models.model_size(model)
     if size > cap:
         raise CapError(f"family has {size} members, over the cap {cap}; restrict the model")
+    members = list(models.enumerate_members(model, cap=None))
+    abs_y = np.abs(y)
+    zero = arr == 0.0
+    bounds = np.array([abs_y[zero[:, np.asarray(t) - 1].all(axis=1)].sum() for t in members])
+    # a float sum of m nonnegative terms is within a factor 1 +- m 2^-53 of the
+    # exact sum, so a bound above the incumbent by more than this factor proves
+    # that the member's computed residual is above it too
+    slack = 1.0 + 4.0 * m * 2.0 ** -53
     best_x = np.zeros(arr.shape[1])
     best_support: tuple = ()
-    best_res = float(np.abs(y).sum())
-    for member in models.enumerate_members(model, cap=None):
-        x = l1_regress(arr, y, member)
+    best_res = float(abs_y.sum())
+    best_index = -1
+    tried = 0
+    for i in np.argsort(bounds, kind="stable").tolist():
+        if bounds[i] > best_res * slack:
+            break
+        x = l1_regress(arr, y, members[i])
         res = float(np.abs(y - arr @ x).sum())
-        if res < best_res:
-            best_x, best_support, best_res = x, member, res
-    result = RecoveryResult(x_star=best_x, support=best_support, residual=best_res)
+        tried += 1
+        if (res, i) < (best_res, best_index):
+            best_x, best_support, best_res, best_index = x, members[i], res, i
+    result = RecoveryResult(x_star=best_x, support=best_support, residual=best_res,
+                            members_tried=tried, members_pruned=size - tried)
     if x_true is not None:
         _score(result, model, np.asarray(x_true, dtype=float), rel_tol)
     return result

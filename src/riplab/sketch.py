@@ -72,11 +72,7 @@ class MeasurementMatrix:
     provenance: str = "loaded"
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        if self.a.ndim != 2:
-            raise InputError(f"matrix must be 2-d, got shape {self.a.shape}")
-        if not np.all(np.isfinite(self.a)):
-            raise InputError("matrix entries must be finite")
+        self.a = as_array(self.a)
 
     @property
     def m(self) -> int:
@@ -88,12 +84,18 @@ class MeasurementMatrix:
 
 
 def as_array(mat) -> np.ndarray:
-    """Accept a MeasurementMatrix or anything array-like; return the ndarray."""
+    """Accept a MeasurementMatrix or anything array-like; return the ndarray.
+
+    Anything but a MeasurementMatrix, which was checked when it was made, must
+    be 2-d with finite entries.
+    """
     if isinstance(mat, MeasurementMatrix):
         return mat.a
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError("matrix entries must be finite")
     return arr
 
 

@@ -151,3 +151,37 @@ def test_build_zero_retries_exit_2(tmp_path):
     proc = run_cli("build", "--model", "block:n=16,k=4,b=2", "--eps", "0.25",
                    "--retries", "0", "--out", str(tmp_path / "x"))
     assert proc.returncode == 2
+
+
+def _assert_input_error(proc):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_recover_bad_files_exit_2(tmp_path):
+    model = ("--model", "general:n=2,k=1")
+    good = tmp_path / "m.txt"
+    good.write_text("2 2\n1 0\n0 1\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 2\n1 0\n0 oops\n")
+    y = tmp_path / "y.txt"
+    y.write_text("1.0\nnan\n")
+    non_numeric = run_cli("recover", "--matrix", str(bad), *model,
+                          "--measurements", str(y))
+    _assert_input_error(non_numeric)
+    assert "bad.txt" in non_numeric.stderr
+    missing = run_cli("recover", "--matrix", str(tmp_path / "absent.txt"), *model,
+                      "--measurements", str(y))
+    _assert_input_error(missing)
+    assert "absent.txt" in missing.stderr
+    nan = run_cli("recover", "--matrix", str(good), *model, "--measurements", str(y))
+    _assert_input_error(nan)
+    assert "finite" in nan.stderr
+
+
+def test_bad_config_json_exit_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{\"model\": ")
+    _assert_input_error(run_cli("plan", "--config", str(cfg)))
+    cfg.write_text("[1, 2]")
+    _assert_input_error(run_cli("plan", "--config", str(cfg)))

@@ -23,6 +23,20 @@ def test_graph_bad_header(tmp_path):
         fileio.read_graph(path)
 
 
+@pytest.mark.parametrize("reader,text", [
+    (fileio.read_graph, "2 4 1\n1\nx\n"),
+    (fileio.read_matrix, "1 2\n0.5 abc\n"),
+    (fileio.read_matrix, "1 2.5\n0.5 1\n"),
+    (fileio.read_vector, "1.0\nabc\n"),
+    (fileio.read_vector, "1.0\nnan\n"),
+])
+def test_readers_reject_bad_tokens_naming_the_file(tmp_path, reader, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(InputError, match="bad.txt"):
+        reader(path)
+
+
 def test_matrix_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(1)
     mat = rl.MeasurementMatrix(rng.standard_normal((5, 7)) * np.pi, provenance="sampled")

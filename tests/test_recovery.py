@@ -6,7 +6,7 @@ import pytest
 import riplab as rl
 from riplab.errors import CapError, InputError
 
-from util import graph_fixture, l1
+from util import brute_recover, graph_fixture, l1
 
 
 def test_l1_regress_identity_full_support():
@@ -84,6 +84,90 @@ def test_recover_cap():
 def test_recover_dimension_mismatch():
     with pytest.raises(InputError):
         rl.recover(np.eye(3), np.zeros(2), rl.Model("general", 3, 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_recover_and_l1_regress_reject_non_finite_y(bad):
+    y = np.array([1.0, bad, 0.5])
+    with pytest.raises(InputError, match="finite"):
+        rl.recover(np.eye(3), y, rl.Model("general", 3, 1))
+    with pytest.raises(InputError, match="finite"):
+        rl.l1_regress(np.eye(3), y, (2,))
+
+
+def _noisy_model_signal(model, rng, noise=0.2):
+    x = np.zeros(model.n)
+    x[np.asarray(rl.random_member(model, rng)) - 1] = rng.standard_normal(model.k) + 2.0
+    bump = rng.standard_normal(model.n)
+    return x + noise * l1(x) * bump / l1(bump)
+
+
+def test_recover_work_counters():
+    g, mat = graph_fixture(32, 320, 6, seed=4)
+    model = rl.Model("block", 32, 8, 4)
+    x = _noisy_model_signal(model, np.random.default_rng(2))
+    res = rl.recover(mat, mat.a @ x, model)
+    assert res.members_tried + res.members_pruned == rl.model_size(model)
+    assert res.members_pruned > 0
+    # a dense matrix touches every row with every column: all bounds are 0
+    a = np.random.default_rng(3).standard_normal((6, 8))
+    dense = rl.recover(a, a @ np.arange(8.0), rl.Model("general", 8, 2))
+    assert (dense.members_tried, dense.members_pruned) == (28, 0)
+
+
+def _duplicate_columns():
+    # columns 9..16 repeat columns 1..8, so pairs of block members share a
+    # submatrix and tie on residual; enumeration order must pick the winner
+    g, mat = graph_fixture(8, 48, 3, seed=6)
+    a = np.hstack([mat.a, mat.a])
+    model = rl.Model("block", 16, 4, 2)
+    x = np.zeros(16)
+    x[[10, 11, 12, 13]] = [1.0, -2.0, 1.5, 0.5]
+    return a, a @ x, model
+
+
+def _cross_bound_tie():
+    # member (2,) has the smaller bound and is solved first; member (1,) ties it
+    return np.array([[0.0, 4.0], [1.0, 5.0]]), np.array([2.0, 5.0]), rl.Model("general", 2, 1)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(11)
+    for seed in range(3):
+        g, mat = graph_fixture(16, 96, 4, seed=seed)
+        model = rl.Model("block", 16, 4, 2)
+        yield pytest.param(mat.a, mat.a @ _noisy_model_signal(model, rng), model,
+                           id=f"block-{seed}")
+        g, mat = graph_fixture(31, 120, 4, seed=seed)
+        model = rl.Model("tree", 31, 5)
+        yield pytest.param(mat.a, mat.a @ _noisy_model_signal(model, rng), model,
+                           id=f"tree-{seed}")
+        a = rng.standard_normal((7, 9))
+        yield pytest.param(a, rng.standard_normal(7), rl.Model("general", 9, 2),
+                           id=f"dense-{seed}")
+    g, mat = graph_fixture(16, 96, 4, seed=1)
+    yield pytest.param(mat.a, np.zeros(96), rl.Model("block", 16, 4, 2), id="zero-y")
+    yield pytest.param(*_duplicate_columns(), id="duplicate-columns")
+    yield pytest.param(*_cross_bound_tie(), id="cross-bound-tie")
+
+
+@pytest.mark.parametrize("a,y,model", list(_oracle_cases()))
+def test_recover_matches_unpruned_scan(a, y, model):
+    x_star, support, residual = brute_recover(a, y, model)
+    res = rl.recover(a, y, model)
+    assert res.support == support
+    assert res.residual == residual
+    assert res.x_star.tobytes() == x_star.tobytes()
+
+
+def test_recover_tie_rule_keeps_enumeration_order():
+    a, y, model = _duplicate_columns()
+    res = rl.recover(a, y, model)
+    assert res.residual <= 1e-9
+    # blocks 6,7 (the truth) and blocks 2,3 share a submatrix; 2,3 comes first
+    assert res.support == (3, 4, 5, 6)
+    cross = rl.recover(*_cross_bound_tie())
+    assert (cross.support, cross.residual, cross.members_tried) == ((1,), 2.0, 2)
 
 
 def test_rip_for_recovery_identity():

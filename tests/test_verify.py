@@ -138,6 +138,14 @@ def test_rip_cap():
         rl.rip1_interval(np.zeros((4, 40)), rl.Model("general", 40, 10), cap=1000)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rip_rejects_non_finite_raw_matrix(bad):
+    a = np.eye(4)
+    a[2, 1] = bad
+    with pytest.raises(InputError, match="finite"):
+        rl.rip1_interval(a, rl.Model("general", 4, 2))
+
+
 def test_rip_exact_agrees_with_external_lp_backend():
     from scipy.optimize import linprog
 

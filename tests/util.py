@@ -66,6 +66,25 @@ def brute_project_mass(model: rl.Model, x) -> float:
                for m in brute_members(model))
 
 
+# -- independent decoder oracle ------------------------------------------------------
+
+def brute_recover(a, y, model: rl.Model):
+    """The unpruned exhaustive decoder: every member in enumeration order,
+    first strict improvement over the zero vector wins.
+
+    Returns ``(x_star, support, residual)``.
+    """
+    a = np.asarray(a, dtype=float)
+    y = np.asarray(y, dtype=float)
+    best = (np.zeros(a.shape[1]), (), float(np.abs(y).sum()))
+    for member in rl.enumerate_members(model, cap=None):
+        x = rl.l1_regress(a, y, member)
+        res = float(np.abs(y - a @ x).sum())
+        if res < best[2]:
+            best = (x, member, res)
+    return best
+
+
 # -- matrix fixtures ----------------------------------------------------------------
 
 def near_isometry(n: int, k: int, seed: int, target: float, delta: float = 0.08):
